@@ -10,11 +10,12 @@ Reported for 2- and 3-level pulse forests: block updates per unit
 physical time, end error vs the exact solution, and the update ratio.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.amr import Simulation, advecting_pulse
-from repro.amr.subcycle import SubcycledSimulation
 from repro.core import BlockID
 
 from _tables import emit_table
@@ -39,7 +40,7 @@ def run_case(deep):
     err_g = sim_g.error_vs(p.exact(T_END))
     updates_g = sim_g.step_count * sim_g.forest.n_blocks
 
-    p, sim_s = build(SubcycledSimulation, deep)
+    p, sim_s = build(partial(Simulation, subcycle=True), deep)
     coarse_steps = 0
     while sim_s.time < T_END - 1e-12:
         dt = min(sim_s.stable_dt(), T_END - sim_s.time)

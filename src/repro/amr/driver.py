@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.recorder import RunRecorder
     from repro.resilience.scrub import Scrubber
 
-__all__ = ["Simulation", "StepRecord"]
+__all__ = ["Simulation", "StepRecord", "TileSweep"]
 
 #: Hook called once per step after the hyperbolic update:
 #: ``hook(sim, dt)``.  Used for inner-boundary resets (solar wind body),
@@ -93,14 +93,16 @@ class Simulation:
     max_step_retries:
         Bounded dt-halving retries per step in safe mode.
     engine:
-        Execution engine for the hot loop.  ``"blocked"`` (default) is
-        the per-block path: one scheme call per block, optionally
-        threaded.  ``"batched"`` compacts the arena to a Morton-ordered
-        contiguous prefix and sweeps *all* blocks per scheme call —
-        stacked kernels, one pooled CFL reduction, flat gather/scatter
+        Execution engine for the hot loop.  Both engines run the same
+        tiled stage sweep over the compacted arena (see
+        :class:`TileSweep`); they differ only in tile width and ghost
+        copies.  ``"blocked"`` (default) sweeps one-row tiles — one
+        scheme call per block — with per-block ghost copies and CFL.
+        ``"batched"`` sweeps cache-sized tiles of many blocks per scheme
+        call, with one pooled CFL reduction and flat gather/scatter
         same-level ghost copies.  The two engines are bit-for-bit
-        identical; blocks needing reflux face-flux capture fall back to
-        a per-block flux evaluation within the batched step.
+        identical, reflux face-flux capture included (each tile captures
+        its blocks' face fluxes in its own flux evaluation).
     batch_tile:
         Blocks per kernel call in the batched engine (None = automatic,
         sized so a tile's padded rows stay cache-resident; see
@@ -116,7 +118,7 @@ class Simulation:
         (fused JIT, bit-for-bit, auto-falls back to numpy when numba is
         missing).  None keeps the scheme's current backend.  The backend
         is attached to the *scheme* (``scheme.kernels``), so it also
-        serves the blocked engine and per-block fallback paths.
+        serves both engines.
     subcycle:
         When True, step with level-local time steps (Berger–Colella
         subcycling, :mod:`repro.amr.subcycle`) instead of one global
@@ -125,9 +127,7 @@ class Simulation:
         substeps with time-interpolated ghost fills.  Works on either
         engine (bit-for-bit across the two, like global stepping) and
         composes with ``reflux=True`` via per-substep time-weighted
-        flux accumulation.  The ``threads`` pool is not used by the
-        subcycled blocked path (per-level block counts are too small to
-        amortize it).
+        flux accumulation.
     sanitize:
         When True, run under the ghost-poison sanitizer
         (:class:`repro.analysis.poison.GhostSanitizer`): every ghost
@@ -151,7 +151,6 @@ class Simulation:
         buffer_band: int = 1,
         hook: Optional[StepHook] = None,
         reflux: bool = False,
-        threads: Optional[int] = None,
         engine: str = "blocked",
         batch_tile: Optional[int] = None,
         batch_tile_bytes: Optional[int] = None,
@@ -206,18 +205,6 @@ class Simulation:
         self.hook = hook
         self.reflux = reflux
         self._register = None
-        #: optional shared-memory parallelism: per-block updates are
-        #: independent (each reads only its own padded array), and the
-        #: numpy kernels release the GIL, so a thread pool gives genuine
-        #: speedup on multi-core hosts for large blocks.
-        self.threads = threads
-        self._executor = None
-        if threads is not None:
-            if threads < 1:
-                raise ValueError("threads must be >= 1")
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(max_workers=threads)
         if max_step_retries < 0:
             raise ValueError("max_step_retries must be >= 0")
         self.safe_mode = safe_mode
@@ -244,11 +231,9 @@ class Simulation:
         self._block_steps: Optional[Dict[BlockID, int]] = None
 
     def close(self) -> None:
-        """Release owned resources (the worker thread pool).  Idempotent;
-        the simulation remains usable for serial stepping afterwards."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Release owned resources.  The serial driver holds none today;
+        ``close`` and the context manager let callers manage every
+        simulation the same way.  Idempotent."""
 
     def __enter__(self) -> "Simulation":
         return self
@@ -259,10 +244,10 @@ class Simulation:
     def enable_block_profile(self) -> None:
         """Track per-block cost for the hottest-blocks report.
 
-        In the blocked engine every kernel call is timed per block; in
-        the batched engine (where blocks advance in stacked tiles and
-        per-block time is not separable) per-block residency steps are
-        counted instead.  Observation only — numerics are untouched.
+        Per-block residency steps are always counted.  One-row tiles
+        (the blocked engine) are also timed per block; a wider tile
+        advances many blocks per kernel call, so its time is not
+        separable per block.  Observation only — numerics are untouched.
         """
         self._block_times = {}
         self._block_steps = {}
@@ -284,25 +269,6 @@ class Simulation:
                 entry["time_s"] = round(times[bid], 6)
             entries.append(entry)
         return entries
-
-    def _map_blocks(self, fn) -> None:
-        """Apply ``fn(block)`` to every block, threaded when enabled."""
-        times = self._block_times
-        if times is not None:
-            inner = fn
-
-            def fn(block):
-                t0 = _time.perf_counter()
-                inner(block)
-                dt = _time.perf_counter() - t0
-                times[block.id] = times.get(block.id, 0.0) + dt
-
-        if self._executor is None:
-            for block in self.forest:
-                fn(block)
-        else:
-            # Consume the iterator so worker exceptions propagate.
-            list(self._executor.map(fn, list(self.forest)))
 
     def _flux_register(self):
         """The coarse–fine flux register, rebuilt on topology changes."""
@@ -355,10 +321,14 @@ class Simulation:
             from repro.amr.subcycle import advance_subcycled
 
             advance_subcycled(self, dt)
-        elif self.engine == "batched":
-            self._advance_batched(dt)
-        else:
-            self._advance_blocked(dt)
+            return
+        forest = self.forest
+        register = self._flux_register() if self.reflux else None
+        if register is not None:
+            register.start_step()
+        sweep = TileSweep(self, [forest.blocks[bid] for bid in forest.sorted_ids()])
+        sweep.step(0, forest.n_blocks, dt, lambda frac: self.fill_ghosts(), register)
+        self._finish_advance(dt, register)
 
     def updates_per_step(self) -> int:
         """Block updates one ``advance`` performs: every block once
@@ -373,61 +343,6 @@ class Simulation:
         divisor = level_divisors(levels)
         return sum(divisor[b.level] for b in self.forest)
 
-    def _advance_blocked(self, dt: float) -> None:
-        """Per-block engine: one scheme call per block (threadable)."""
-        forest, scheme = self.forest, self.scheme
-        g = forest.n_ghost
-        register = self._flux_register() if self.reflux else None
-        if register is not None:
-            register.start_step()
-
-        def final_rate(block):
-            # Flux divergence of the final stage, capturing boundary-face
-            # fluxes for blocks on coarse-fine interfaces.
-            if register is not None:
-                faces = register.needed_faces.get(block.id)
-                if faces:
-                    capture: Dict[int, np.ndarray] = {}
-                    rate = scheme.flux_divergence(
-                        block.data, block.dx, g,
-                        face_flux_out=capture, faces=faces,
-                    )
-                    register.record(block.id, capture)
-                    return rate
-            return scheme.flux_divergence(block.data, block.dx, g)
-
-        self.fill_ghosts()
-        if scheme.n_stages == 1:
-            def single(block):
-                block.interior[...] += dt * final_rate(block)
-                scheme.apply_floors(block.interior)
-
-            with self.timer.phase("compute"):
-                self._map_blocks(single)
-        else:
-            # Predictor saves reuse the arena's preallocated scratch pool
-            # (one interior-shaped row per block) instead of allocating a
-            # fresh copy per block per step.
-            save = forest.arena.save_pool()
-
-            def predictor(block):
-                save[block.arena_row][...] = block.interior
-                scheme.step(block.data, block.dx, 0.5 * dt, g)
-
-            def corrector(block):
-                # block.data holds the half-time state everywhere
-                # (interior from the predictor, ghosts just refreshed):
-                # u_new = u_old + dt * L(u_half).
-                block.interior[...] = save[block.arena_row] + dt * final_rate(block)
-                scheme.apply_floors(block.interior)
-
-            with self.timer.phase("compute"):
-                self._map_blocks(predictor)
-            self.fill_ghosts()
-            with self.timer.phase("compute"):
-                self._map_blocks(corrector)
-        self._finish_advance(dt, register)
-
     #: default target working-set bytes per kernel tile (see
     #: :meth:`_tile_rows`); per-instance override via the
     #: ``batch_tile_bytes=`` parameter or the ``REPRO_BATCH_TILE_BYTES``
@@ -435,7 +350,8 @@ class Simulation:
     BATCH_TILE_BYTES = 800 * 1024
 
     def _tile_rows(self, row_bytes: int) -> int:
-        """Rows per kernel tile for the batched engine.
+        """Rows per kernel tile: 1 for the blocked engine, else sized
+        for the cache as below.
 
         Sweeping the whole pool in one scheme call maximally amortizes
         numpy dispatch but makes every intermediate array pool-sized —
@@ -448,99 +364,11 @@ class Simulation:
         bit-for-bit independent of the tile size: every kernel treats
         the batch axis elementwise.
         """
+        if self.engine == "blocked":
+            return 1
         if self.batch_tile is not None:
             return self.batch_tile
         return max(8, self.batch_tile_bytes // max(row_bytes, 1))
-
-    def _advance_batched(self, dt: float) -> None:
-        """Batched engine: every scheme call sweeps a tile of blocks.
-
-        The arena is compacted to a Morton-ordered contiguous prefix, so
-        the ``(B, nvar, *padded)`` pool prefix *is* the forest state and
-        the generalized scheme machinery advances a whole tile of blocks
-        per numpy call (see :meth:`_tile_rows` for the tile-size
-        rationale).  Bit-for-bit identical to the per-block engine: same
-        IEEE elementwise kernels, same per-block cell widths, same
-        update expressions — only the loop structure changes.
-        """
-        forest, scheme = self.forest, self.scheme
-        g = forest.n_ghost
-        nd = forest.ndim
-        register = self._flux_register() if self.reflux else None
-        if register is not None:
-            register.start_step()
-        blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
-        pool = forest.arena.ensure_compact(blocks)
-        n = len(blocks)
-        interior = (slice(None), slice(None)) + tuple(
-            slice(g, g + mi) for mi in forest.m
-        )
-        ui = pool[interior]  # (B, nvar, *m) view
-        dx_all = [
-            np.array([b.dx[a] for b in blocks]).reshape((n,) + (1,) * nd)
-            for a in range(nd)
-        ]
-        tile = self._tile_rows(pool[:1].nbytes)
-        tiles = [(s, min(s + tile, n)) for s in range(0, n, tile)]
-
-        def capture_fluxes():
-            # Reflux fallback: blocks on coarse-fine interfaces rerun a
-            # per-block flux evaluation to capture boundary-face fluxes.
-            # Runs *before* the batched interior update so it sees the
-            # same (current-stage) state the batched rate is computed
-            # from; the recomputed rate is identical and discarded.
-            if register is None:
-                return
-            for block in blocks:
-                faces = register.needed_faces.get(block.id)
-                if faces:
-                    capture: Dict[int, np.ndarray] = {}
-                    scheme.flux_divergence(
-                        block.data, block.dx, g,
-                        face_flux_out=capture, faces=faces,
-                    )
-                    register.record(block.id, capture)
-
-        # Rate scratch: one interior-shaped buffer reused by every tile
-        # of every stage, so the update rate never allocates per tile.
-        rate_pool = forest.arena.rate_pool()
-        self.fill_ghosts()
-        if scheme.n_stages == 1:
-            with self.timer.phase("compute"):
-                capture_fluxes()
-                for s, e in tiles:
-                    dxs = [d[s:e] for d in dx_all]
-                    rate = scheme.flux_divergence(
-                        pool[s:e], dxs, g, ndim=nd, out=rate_pool[s:e]
-                    )
-                    rate *= dt
-                    ui[s:e] += rate
-                    scheme.apply_floors(np.moveaxis(ui[s:e], 0, 1))
-        else:
-            save = forest.arena.save_pool()[:n]
-            with self.timer.phase("compute"):
-                save[...] = ui
-                for s, e in tiles:
-                    dxs = [d[s:e] for d in dx_all]
-                    scheme.step(
-                        pool[s:e], dxs, 0.5 * dt, g, ndim=nd,
-                        rate_out=rate_pool[s:e],
-                    )
-            self.fill_ghosts()
-            with self.timer.phase("compute"):
-                capture_fluxes()
-                # u_new = u_old + dt * L(u_half), as in the blocked
-                # corrector (same IEEE ops per element; the scratch only
-                # removes the broadcast temporaries).
-                for s, e in tiles:
-                    dxs = [d[s:e] for d in dx_all]
-                    rate = scheme.flux_divergence(
-                        pool[s:e], dxs, g, ndim=nd, out=rate_pool[s:e]
-                    )
-                    rate *= dt
-                    np.add(save[s:e], rate, out=ui[s:e])
-                    scheme.apply_floors(np.moveaxis(ui[s:e], 0, 1))
-        self._finish_advance(dt, register)
 
     def _finish_advance(
         self, dt: float, register, *, flux_scale: Optional[float] = None
@@ -777,3 +605,110 @@ class Simulation:
             err += float(np.abs(block.interior[var] - exact(*grids)).sum()) * cell_vol
             vol += cell_vol * block.n_cells
         return err / vol
+
+
+class TileSweep:
+    """The one time-step loop: tiled stage sweeps over a row range of
+    the compacted arena.
+
+    The arena is compacted to ``blocks`` (row ``i`` holds
+    ``blocks[i]``), so the ``(B, nvar, *padded)`` pool prefix *is* the
+    forest state and every :meth:`FVScheme.step` call advances a tile of
+    consecutive rows.  Global stepping sweeps all rows with
+    :meth:`Simulation.fill_ghosts`; subcycling sweeps each level's row
+    range with its time-interpolated fill.  The tile width is the
+    engine's only knob (:meth:`Simulation._tile_rows`: one row for the
+    blocked engine).  Every kernel treats the batch axis elementwise, so
+    the results are bit-for-bit independent of the tile width.
+    """
+
+    def __init__(self, sim: Simulation, blocks: list) -> None:
+        forest = sim.forest
+        self.sim = sim
+        self.blocks = blocks
+        self.pool = forest.arena.ensure_compact(blocks)
+        g, nd, n = forest.n_ghost, forest.ndim, len(blocks)
+        interior = (slice(None), slice(None)) + tuple(
+            slice(g, g + mi) for mi in forest.m
+        )
+        self.ui = self.pool[interior]  # (B, nvar, *m) view
+        self.dx = [
+            np.array([b.dx[a] for b in blocks]).reshape((n,) + (1,) * nd)
+            for a in range(nd)
+        ]
+        self.tile = sim._tile_rows(self.pool[:1].nbytes)
+        #: the interior at the start of the step (the corrector's base)
+        self.save = forest.arena.save_pool()
+        # Rate scratch reused by every tile of every stage, so the
+        # update rate never allocates per tile.
+        self.rate = forest.arena.rate_pool()
+
+    def step(
+        self,
+        s: int,
+        e: int,
+        dt: float,
+        fill: Callable[[float], None],
+        register=None,
+        weight: Optional[float] = None,
+    ) -> None:
+        """Advance rows ``[s, e)`` by ``dt``: midpoint (two stages) for
+        order 2, forward Euler for order 1.
+
+        ``fill(frac)`` refreshes the ghosts before the stage that starts
+        at ``frac * dt`` into the step.  The final stage captures the
+        coarse–fine face fluxes the ``register`` needs, ``record``-ed
+        (global steps) or ``accumulate``-d with ``weight`` (substeps).
+        """
+        sim = self.sim
+        self.save[s:e] = self.ui[s:e]
+        if sim.scheme.n_stages == 1:
+            stages = [(dt, None)]
+        else:
+            stages = [(0.5 * dt, None), (dt, self.save)]
+        for k, (h, base) in enumerate(stages):
+            fill(0.5 * k)
+            final = k == len(stages) - 1
+            with sim.timer.phase("compute"):
+                for a in range(s, e, self.tile):
+                    self._tile(
+                        a, min(a + self.tile, e), h, base,
+                        register if final else None, weight,
+                    )
+
+    def _tile(self, a: int, b: int, h: float, base, register, weight) -> None:
+        """One stage of length ``h`` on rows ``[a, b)``, splitting the
+        tile's captured face fluxes per block into the register."""
+        sim, blocks = self.sim, self.blocks
+        needed = (
+            [register.needed_faces.get(blk.id) for blk in blocks[a:b]]
+            if register is not None else []
+        )
+        faces = set().union(*filter(None, needed))
+        capture: Optional[Dict[int, np.ndarray]] = {} if faces else None
+        times = sim._block_times
+        t0 = _time.perf_counter()
+        sim.scheme.step(
+            self.pool[a:b],
+            [d[a:b] for d in self.dx],
+            h,
+            sim.forest.n_ghost,
+            ndim=sim.forest.ndim,
+            rate_out=self.rate[a:b],
+            base=None if base is None else base[a:b],
+            face_flux_out=capture,
+            faces=faces or None,
+        )
+        if times is not None and b - a == 1:
+            bid = blocks[a].id
+            times[bid] = times.get(bid, 0.0) + _time.perf_counter() - t0
+        if capture:
+            # captured slabs are (nvar, tile, *transverse): one per block
+            for i, want in enumerate(needed):
+                if not want:
+                    continue
+                slabs = {f: capture[f][:, i] for f in want}
+                if weight is None:
+                    register.record(blocks[a + i].id, slabs)
+                else:
+                    register.accumulate(blocks[a + i].id, slabs, weight)

@@ -23,13 +23,12 @@ stepping.
 Subcycling is a first-class driver mode: construct
 ``Simulation(..., subcycle=True)`` (or via ``SimulationConfig`` /
 ``problem.build`` / the CLI ``--subcycle`` flag) on **either** engine.
-The blocked engine steps each level block by block; the batched engine
-keeps the arena compacted in *level-major* order — every level is a
-contiguous run of pool rows — and advances each level's row range in
-cache-sized tiles per kernel call, dispatching through the scheme's
-kernel backend and routing ghost fills through the flat gather/scatter
-plan.  The two engines are bit-for-bit identical, as in global
-stepping.
+The arena is kept compacted in *level-major* order — every level is a
+contiguous run of pool rows — and each substep runs the global
+stepper's :class:`~repro.amr.driver.TileSweep` over its level's row
+range, with time-interpolated ghost fills.  The engines differ only in
+tile width (one row for the blocked engine) and are bit-for-bit
+identical, as in global stepping.
 
 Accuracy note: the coarse level's mid-stage ghost fill sees fine
 neighbors still at the old time level (their substeps run after), a
@@ -43,13 +42,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.amr.driver import Simulation
+from repro.amr.driver import Simulation, TileSweep
 from repro.core.block_id import BlockID
 from repro.obs.metrics import METRICS
 from repro.solvers.timestep import stable_dt_batched
 
 __all__ = [
-    "SubcycledSimulation",
     "advance_subcycled",
     "interval_spans",
     "level_divisors",
@@ -127,7 +125,7 @@ def stable_dt_subcycled(sim: Simulation) -> float:
 
 
 class _SubcycleSweep:
-    """Per-coarse-step state of one subcycled advance (both engines).
+    """Per-coarse-step state of one subcycled advance.
 
     Everything here — the old-state snapshots backing the time
     interpolation, the per-block step intervals, the level-major pool
@@ -141,8 +139,6 @@ class _SubcycleSweep:
     ) -> None:
         self.sim = sim
         self.forest = sim.forest
-        self.scheme = sim.scheme
-        self.g = sim.forest.n_ghost
         self.register = register
         self.levels = levels
         #: interior snapshot (save-pool row view) of each block's
@@ -153,43 +149,19 @@ class _SubcycleSweep:
         self.t_new: Dict[BlockID, float] = {}
         #: substeps each level took this coarse step (recorder payload)
         self.substeps: Dict[int, int] = {lvl: 0 for lvl in levels}
-        self.save = self.forest.arena.save_pool()
-        self.batched = sim.engine == "batched"
-        if self.batched:
-            forest = self.forest
-            nd = forest.ndim
-            # Level-major, Morton within level: every level is one
-            # contiguous run of pool rows, so each substep sweeps a
-            # plain row range in tiles.  The sort is stable, and the
-            # order is reproduced every coarse step, so the compaction
-            # only moves rows (and invalidates the ghost plan) when the
-            # topology actually changed.
-            blocks = [forest.blocks[bid] for bid in forest.sorted_ids()]
-            blocks.sort(key=lambda b: b.level)
-            self.blocks = blocks
-            self.pool = forest.arena.ensure_compact(blocks)
-            n = len(blocks)
-            g = self.g
-            interior = (slice(None), slice(None)) + tuple(
-                slice(g, g + mi) for mi in forest.m
-            )
-            self.ui = self.pool[interior]  # (B, nvar, *m) view
-            self.dx_all = [
-                np.array([b.dx[a] for b in blocks]).reshape((n,) + (1,) * nd)
-                for a in range(nd)
-            ]
-            #: level -> [start, end) row range of the compacted pool
-            self.ranges: Dict[int, Tuple[int, int]] = {}
-            for i, b in enumerate(blocks):
-                s, _ = self.ranges.get(b.level, (i, i))
-                self.ranges[b.level] = (s, i + 1)
-            self.tile = sim._tile_rows(self.pool[:1].nbytes)
-            self.rate_pool = forest.arena.rate_pool()
-        else:
-            by_level: Dict[int, List] = {lvl: [] for lvl in levels}
-            for block in self.forest:
-                by_level[block.level].append(block)
-            self.by_level = by_level
+        # Level-major, Morton within level: every level is one
+        # contiguous run of pool rows, so each substep sweeps a plain
+        # row range.  The sort is stable, and the order is reproduced
+        # every coarse step, so the compaction only moves rows (and
+        # invalidates the ghost plan) when the topology actually changed.
+        blocks = [self.forest.blocks[bid] for bid in self.forest.sorted_ids()]
+        blocks.sort(key=lambda b: b.level)
+        self.sweep = TileSweep(sim, blocks)
+        #: level -> [start, end) row range of the compacted pool
+        self.ranges: Dict[int, Tuple[int, int]] = {}
+        for i, b in enumerate(blocks):
+            s, _ = self.ranges.get(b.level, (i, i))
+            self.ranges[b.level] = (s, i + 1)
 
     def clear(self) -> None:
         """Drop all per-step state (snapshots and step intervals)."""
@@ -204,10 +176,7 @@ class _SubcycleSweep:
         finer levels by ``2^delta`` substeps each (recursively)."""
         level = self.levels[idx]
         self.substeps[level] += 1
-        if self.batched:
-            self._step_level_batched(level, t0, dt)
-        else:
-            self._step_level_blocked(level, t0, dt)
+        self._step_level(level, t0, dt)
         if self.sim.sanitizer is not None:
             # Every substep is a stage boundary: verify interiors finite
             # (behavior-neutral — checks only).
@@ -228,151 +197,52 @@ class _SubcycleSweep:
         Blocks whose current step spans ``t`` are temporarily set to the
         linear interpolant between their old and new states, the normal
         exchange runs (per-block copies or the flat gather/scatter plan,
-        per the engine), then their arrays are restored.
+        per the engine), then their arrays are restored — also when the
+        exchange raises.
         """
         swapped: List = []
-        for bid, block in self.forest.blocks.items():
-            u0 = self.u_old.get(bid)
-            if u0 is None:
-                continue
-            t0, t1 = self.t_old[bid], self.t_new[bid]
-            if not interval_spans(t, t0, t1):
-                continue
-            theta = (t - t0) / (t1 - t0)
-            current = block.interior.copy()
-            block.interior[...] = (1.0 - theta) * u0 + theta * current
-            swapped.append((block, current))
-        self.sim.fill_ghosts()
-        for block, current in swapped:
-            block.interior[...] = current
+        try:
+            for bid, block in self.forest.blocks.items():
+                u0 = self.u_old.get(bid)
+                if u0 is None:
+                    continue
+                t0, t1 = self.t_old[bid], self.t_new[bid]
+                if not interval_spans(t, t0, t1):
+                    continue
+                theta = (t - t0) / (t1 - t0)
+                current = block.interior.copy()
+                swapped.append((block, current))
+                block.interior[...] = (1.0 - theta) * u0 + theta * current
+            self.sim.fill_ghosts()
+        finally:
+            for block, current in swapped:
+                block.interior[...] = current
 
-    def _final_rate(self, block, weight: float) -> np.ndarray:
-        """Final-stage flux divergence of one block, accumulating
-        captured coarse–fine face fluxes weighted by the substep length
-        ``weight`` (see :meth:`FluxRegister.accumulate`)."""
-        register, scheme, g = self.register, self.scheme, self.g
-        if register is not None:
-            faces = register.needed_faces.get(block.id)
-            if faces:
-                capture: Dict[int, np.ndarray] = {}
-                rate = scheme.flux_divergence(
-                    block.data, block.dx, g,
-                    face_flux_out=capture, faces=faces,
-                )
-                register.accumulate(block.id, capture, weight)
-                return rate
-        return scheme.flux_divergence(block.data, block.dx, g)
-
-    # ------------------------------------------------------------------
-
-    def _step_level_blocked(self, level: int, t0: float, dt: float) -> None:
-        """One substep of one level, block by block."""
-        sim, scheme, g = self.sim, self.scheme, self.g
-        mine = self.by_level[level]
-        save = self.save
-        for block in mine:
-            row = save[block.arena_row]
-            row[...] = block.interior
-            self.u_old[block.id] = row
+    def _step_level(self, level: int, t0: float, dt: float) -> None:
+        """One substep of one level: the tiled sweep over the level's
+        row range, each stage's ghosts filled at its own time."""
+        s, e = self.ranges[level]
+        mine = self.sweep.blocks[s:e]
+        for i, block in enumerate(mine):
+            # the sweep snapshots the rows before the first fill
+            self.u_old[block.id] = self.sweep.save[s + i]
             self.t_old[block.id] = t0
             self.t_new[block.id] = t0 + dt
-        self.interp_fill(t0)
-        if scheme.n_stages == 1:
-            with sim.timer.phase("compute"):
-                for block in mine:
-                    block.interior[...] += dt * self._final_rate(block, dt)
-                    scheme.apply_floors(block.interior)
-        else:
-            with sim.timer.phase("compute"):
-                for block in mine:
-                    scheme.step(block.data, block.dx, 0.5 * dt, g)
-            # The mid-stage exchange happens at t0 + dt/2; shrinking the
-            # recorded interval keeps this level's own (half-time)
+
+        def fill(frac: float) -> None:
+            if not frac:
+                self.interp_fill(t0)
+                return
+            # The mid-stage exchange happens at t0 + frac*dt; shrinking
+            # the recorded interval keeps this level's own (mid-step)
             # interiors out of the interpolation set for that fill.
             for block in mine:
-                self.t_new[block.id] = t0 + 0.5 * dt
-            self.interp_fill(t0 + 0.5 * dt)
+                self.t_new[block.id] = t0 + frac * dt
+            self.interp_fill(t0 + frac * dt)
             for block in mine:
                 self.t_new[block.id] = t0 + dt
-            with sim.timer.phase("compute"):
-                for block in mine:
-                    rate = self._final_rate(block, dt)
-                    block.interior[...] = self.u_old[block.id] + dt * rate
-                    scheme.apply_floors(block.interior)
 
-    def _step_level_batched(self, level: int, t0: float, dt: float) -> None:
-        """One substep of one level: tiled kernel sweeps over the
-        level's contiguous pool row range, same IEEE ops per element as
-        the blocked path (bit-for-bit, as in global stepping)."""
-        sim, scheme, g = self.sim, self.scheme, self.g
-        nd = self.forest.ndim
-        s, e = self.ranges[level]
-        mine = self.blocks[s:e]
-        save, pool, ui = self.save, self.pool, self.ui
-        rate_pool = self.rate_pool
-        save[s:e] = ui[s:e]
-        for i, block in enumerate(mine):
-            self.u_old[block.id] = save[s + i]
-            self.t_old[block.id] = t0
-            self.t_new[block.id] = t0 + dt
-        tiles = [(a, min(a + self.tile, e)) for a in range(s, e, self.tile)]
-        self.interp_fill(t0)
-        if scheme.n_stages == 1:
-            with sim.timer.phase("compute"):
-                self._capture(mine, dt)
-                for a, b in tiles:
-                    dxs = [d[a:b] for d in self.dx_all]
-                    rate = scheme.flux_divergence(
-                        pool[a:b], dxs, g, ndim=nd, out=rate_pool[a:b]
-                    )
-                    rate *= dt
-                    ui[a:b] += rate
-                    scheme.apply_floors(np.moveaxis(ui[a:b], 0, 1))
-        else:
-            with sim.timer.phase("compute"):
-                for a, b in tiles:
-                    dxs = [d[a:b] for d in self.dx_all]
-                    scheme.step(
-                        pool[a:b], dxs, 0.5 * dt, g, ndim=nd,
-                        rate_out=rate_pool[a:b],
-                    )
-            for block in mine:
-                self.t_new[block.id] = t0 + 0.5 * dt
-            self.interp_fill(t0 + 0.5 * dt)
-            for block in mine:
-                self.t_new[block.id] = t0 + dt
-            with sim.timer.phase("compute"):
-                self._capture(mine, dt)
-                # u_new = u_old + dt * L(u_half), as in the blocked
-                # corrector (same IEEE ops per element; the scratch only
-                # removes the broadcast temporaries).
-                for a, b in tiles:
-                    dxs = [d[a:b] for d in self.dx_all]
-                    rate = scheme.flux_divergence(
-                        pool[a:b], dxs, g, ndim=nd, out=rate_pool[a:b]
-                    )
-                    rate *= dt
-                    np.add(save[a:b], rate, out=ui[a:b])
-                    scheme.apply_floors(np.moveaxis(ui[a:b], 0, 1))
-
-    def _capture(self, mine, weight: float) -> None:
-        """Reflux fallback for the batched sweep: blocks on coarse–fine
-        interfaces rerun a per-block flux evaluation to capture (and
-        weight-accumulate) boundary-face fluxes.  Runs *before* the
-        tiled interior update so it sees the same current-stage state
-        the batched rate is computed from."""
-        register, scheme, g = self.register, self.scheme, self.g
-        if register is None:
-            return
-        for block in mine:
-            faces = register.needed_faces.get(block.id)
-            if faces:
-                capture: Dict[int, np.ndarray] = {}
-                scheme.flux_divergence(
-                    block.data, block.dx, g,
-                    face_flux_out=capture, faces=faces,
-                )
-                register.accumulate(block.id, capture, weight)
+        self.sweep.step(s, e, dt, fill, self.register, weight=dt)
 
 
 def advance_subcycled(sim: Simulation, dt: float) -> None:
@@ -405,17 +275,3 @@ def advance_subcycled(sim: Simulation, dt: float) -> None:
         )
         METRICS.gauge("subcycle.levels", len(levels))
     sim._finish_advance(dt, register, flux_scale=1.0)
-
-
-class SubcycledSimulation(Simulation):
-    """Back-compat constructor: a :class:`Simulation` with
-    ``subcycle=True``.
-
-    Subcycling is a first-class driver mode (``Simulation(...,
-    subcycle=True)``, on either engine, any kernel backend); this
-    subclass remains for existing callers and the ablation benchmark.
-    """
-
-    def __init__(self, forest, scheme, **kw) -> None:
-        kw.setdefault("subcycle", True)
-        super().__init__(forest, scheme, **kw)

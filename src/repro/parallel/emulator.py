@@ -630,32 +630,20 @@ class EmulatedMachine:
         det = self.race_detector
         if det is not None:
             det.begin_step()
-        self.exchange()
-        if scheme.n_stages == 1:
-            for rank in self.alive_ranks:
-                for block in self.rank_blocks[rank].values():
-                    if det is not None:
-                        det.on_consume(block.id, rank)
-                    scheme.step(block.data, block.dx, dt, g)
-                    if det is not None:
-                        det.on_interior_write(block.id, rank)
-        else:
-            saved: Dict[BlockID, np.ndarray] = {}
-            for rank in self.alive_ranks:
-                for block in self.rank_blocks[rank].values():
-                    if det is not None:
-                        det.on_consume(block.id, rank)
-                    saved[block.id] = block.interior.copy()
-                    scheme.step(block.data, block.dx, 0.5 * dt, g)
-                    if det is not None:
-                        det.on_interior_write(block.id, rank)
+        # Midpoint (order 2) or forward Euler (order 1): an exchange
+        # before every stage, the corrector starting from the saved
+        # interior.
+        saved: Dict[BlockID, np.ndarray] = {}
+        for k, h in enumerate([dt] if scheme.n_stages == 1 else [0.5 * dt, dt]):
             self.exchange()
             for rank in self.alive_ranks:
                 for block in self.rank_blocks[rank].values():
                     if det is not None:
                         det.on_consume(block.id, rank)
-                    rate = scheme.flux_divergence(block.data, block.dx, g)
-                    block.interior[...] = saved[block.id] + dt * rate
+                    if k == 0:
+                        saved[block.id] = block.interior.copy()
+                    base = saved[block.id] if k else None
+                    scheme.step(block.data, block.dx, h, g, base=base)
                     if det is not None:
                         det.on_interior_write(block.id, rank)
         if self.sanitizer is not None:

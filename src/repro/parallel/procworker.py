@@ -407,8 +407,7 @@ class _Worker:
     def corrector(self, dt: float) -> Dict[str, Any]:
         g = self.topology.n_ghost
         for block in self.own_blocks():
-            rate = self.scheme.flux_divergence(block.data, block.dx, g)
-            block.interior[...] = self.saved[block.id] + dt * rate
+            self.scheme.step(block.data, block.dx, dt, g, base=self.saved[block.id])
         self.saved = {}
         return {"status": "ok"}
 

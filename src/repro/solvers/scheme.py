@@ -364,18 +364,29 @@ class FVScheme(ABC):
         g: int,
         ndim: Optional[int] = None,
         rate_out: Optional[np.ndarray] = None,
+        *,
+        base: Optional[np.ndarray] = None,
+        face_flux_out: Optional[dict] = None,
+        faces: Optional[Sequence[int]] = None,
     ) -> None:
         """Advance the interior of a padded block array by one forward-
-        Euler *stage* of length ``dt``, in place.  ``rate_out`` is an
-        optional scratch buffer (interior shape) for the update rate.
+        Euler *stage* of length ``dt``, in place, then apply the floors.
+        This is the one stage update every execution path calls.
 
-        This is a single stage: time integration across stages (midpoint
-        for second order) is orchestrated by the driver, which must
-        refresh ghost cells *between* stages — computing both stages
-        block-locally with stale ghosts would break conservation and
-        accuracy at block boundaries.  See
-        :func:`repro.amr.driver.advance` and
-        :func:`repro.solvers.scheme.FVScheme.step_midpoint`.
+        ``base`` (interior shape) is the state the stage starts from:
+        ``u = base + dt * L(u)``, the midpoint corrector with the saved
+        old interior.  Without it the stage starts from ``u`` itself
+        (``u += dt * L(u)``: the predictor, or the single stage of a
+        first-order scheme).  ``rate_out`` is an optional scratch buffer
+        (interior shape) for the update rate; ``face_flux_out``/``faces``
+        capture boundary-face fluxes for refluxing (see
+        :meth:`flux_divergence`).
+
+        Time integration across stages (midpoint for second order) is
+        orchestrated by the caller, which must refresh ghost cells
+        *between* stages — computing both stages block-locally with
+        stale ghosts would break conservation and accuracy at block
+        boundaries.  See :meth:`step_midpoint`.
 
         With an explicit ``ndim`` and a ``(B, nvar, *spatial)`` stack
         the whole batch advances in one sweep.
@@ -385,15 +396,16 @@ class FVScheme(ABC):
         interior = (slice(None),) * lead + tuple(
             slice(g, s - g) for s in u.shape[lead:]
         )
-        rate = self.flux_divergence(u, dx, g, ndim=ndim, out=rate_out)
-        if rate_out is not None:
-            # same two IEEE ops per element as ``u += dt * rate``,
-            # without the broadcast temporary
-            rate *= dt
-            u[interior] += rate
-        else:
-            u[interior] += dt * rate
+        rate = self.flux_divergence(
+            u, dx, g, ndim=ndim, out=rate_out,
+            face_flux_out=face_flux_out, faces=faces,
+        )
+        # The rate is this call's own (fresh or scratch) array, so it is
+        # scaled in place: the same two IEEE ops per element as
+        # ``base + dt * rate``, without the broadcast temporary.
+        rate *= dt
         ui = u[interior]
+        np.add(ui if base is None else base, rate, out=ui)
         # the floors hook wants the variable axis first
         self.apply_floors(np.moveaxis(ui, 0, 1) if lead == 2 else ui)
 
@@ -412,14 +424,13 @@ class FVScheme(ABC):
         ``fill`` must set the array's ghost cells from the current
         interior (periodic wrap, physical BC, ...).
         """
-        interior = (slice(None),) + tuple(slice(g, s - g) for s in u.shape[1:])
         fill(u)
         if self.order == 1:
-            u[interior] += dt * self.flux_divergence(u, dx, g)
+            self.step(u, dx, dt, g)
             return
+        interior = (slice(None),) + tuple(slice(g, s - g) for s in u.shape[1:])
         u_half = u.copy()
-        u_half[interior] += 0.5 * dt * self.flux_divergence(u, dx, g)
-        self.apply_floors(u_half[interior])
+        self.step(u_half, dx, 0.5 * dt, g)
         fill(u_half)
-        u[interior] += dt * self.flux_divergence(u_half, dx, g)
-        self.apply_floors(u[interior])
+        self.step(u_half, dx, dt, g, base=u[interior])
+        u[interior] = u_half[interior]

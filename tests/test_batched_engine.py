@@ -405,24 +405,20 @@ def test_batched_reference_through_rank_kill_recovery(tmp_path, backend):
 # ---------------------------------------------------------------------------
 
 
-def test_close_shuts_down_executor():
+def test_close_is_idempotent():
     problem = _problem("advection")
     sim = problem.build()
-    sim_threads = Simulation(sim.forest, sim.scheme, threads=2)
-    assert sim_threads._executor is not None
-    sim_threads.close()
-    assert sim_threads._executor is None
-    sim_threads.close()  # idempotent
     sim.close()
+    sim.close()
+    sim.step()  # still usable for stepping afterwards
 
 
 def test_context_manager_closes():
     problem = _problem("advection")
     built = problem.build()
-    with Simulation(built.forest, built.scheme, threads=2) as sim:
-        assert sim._executor is not None
+    with Simulation(built.forest, built.scheme) as sim:
         sim.step()
-    assert sim._executor is None
+    assert sim.step_count == 1
     built.close()
 
 

@@ -186,3 +186,17 @@ class TestShallowWater:
         np.testing.assert_allclose(h, h[::-1, :], rtol=1e-10)
         np.testing.assert_allclose(h, h[:, ::-1], rtol=1e-10)
         np.testing.assert_allclose(h, h.T, rtol=1e-10)
+
+    def test_order1_midpoint_applies_depth_floor(self):
+        """Regression: the order-1 branch of ``step_midpoint`` skipped
+        ``apply_floors``, so the depth sank below an active floor."""
+        n, g, floor = 64, 1, 1.6
+        sch = ShallowWaterScheme(1, gravity=1.0, order=1, h_floor=floor)
+        x = (np.arange(n) + 0.5) / n
+        w = np.zeros((2, n))
+        w[0] = 1.5 + 0.4 * np.sin(2 * np.pi * x)
+        w[1] = 0.2
+        u = np.zeros((2, n + 2 * g))
+        u[:, g:-g] = sch.prim_to_cons(w)
+        run_1d(sch, u, 1.0 / n, 0.05, periodic_fill, g=g)
+        assert u[0, g:-g].min() >= floor

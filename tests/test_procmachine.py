@@ -40,7 +40,8 @@ from repro.resilience import (
     Scrubber,
     run_with_recovery,
 )
-from repro.solvers import AdvectionScheme, EulerScheme
+from repro.solvers import AdvectionScheme, EulerScheme, MHDScheme
+from repro.solvers.shallow_water import ShallowWaterScheme
 from repro.util.geometry import Box
 
 pytestmark = pytest.mark.skipif(
@@ -181,6 +182,41 @@ class TestBitwiseAgreement:
         with ProcessMachine(forest, 3, scheme, bc=bc, config=FAST) as m:
             for _ in range(3):
                 m.advance(DT)
+            assert_bitwise(m, ref)
+
+    @pytest.mark.parametrize("physics", ["euler", "mhd", "shallow_water"])
+    def test_active_floors_match_serial(self, physics):
+        """Regression: the worker's corrector skipped ``apply_floors``."""
+        scheme = {
+            "euler": lambda: EulerScheme(2, order=2, rho_floor=1.6),
+            "shallow_water": lambda: ShallowWaterScheme(2, order=2, h_floor=1.6),
+            "mhd": lambda: MHDScheme(2, order=2, rho_floor=1.6),
+        }[physics]()
+
+        def make():
+            # density (depth) dips below the 1.6 floor: every stage clips
+            forest = make_amr_forest(scheme.nvar)
+            for b in forest:
+                x, y = b.meshgrid()
+                w = np.zeros((scheme.nvar,) + x.shape)
+                w[0] = 1.5 + 0.4 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+                w[1] = 0.2
+                w[2] = 0.1
+                if scheme.nvar == 4:
+                    w[3] = 1.0
+                elif scheme.nvar == 8:
+                    w[4] = 1.0
+                    w[5:8] = 0.2
+                b.interior[...] = scheme.prim_to_cons(w)
+            return forest
+
+        ref = make()
+        sim = Simulation(ref, scheme)
+        for _ in range(4):
+            sim.advance(5e-4)
+        with ProcessMachine(make(), 2, scheme, config=FAST) as m:
+            for _ in range(4):
+                m.advance(5e-4)
             assert_bitwise(m, ref)
 
     def test_sanitizer_and_race_detector_attach(self):

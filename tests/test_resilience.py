@@ -909,10 +909,10 @@ class FragileAdvection(AdvectionScheme):
         super().__init__(*args, **kw)
         self.dt_limit = dt_limit
 
-    def step(self, u, dx, dt, g):
-        super().step(u, dx, dt, g)
-        if dt > self.dt_limit:
-            u[0, g, g] = np.nan
+    def step(self, u, dx, dt, g, *args, base=None, **kw):
+        super().step(u, dx, dt, g, *args, base=base, **kw)
+        if base is None and dt > self.dt_limit:  # the predictor stage
+            u[..., 0, g, g] = np.nan  # per-block array or a tile of blocks
 
 
 class TestSafeMode:

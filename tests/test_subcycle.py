@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.amr import Simulation, advecting_pulse
-from repro.amr.subcycle import SubcycledSimulation
 from repro.core import BlockID
+
+
+def subcycled(forest, scheme, **kw):
+    return Simulation(forest, scheme, subcycle=True, **kw)
 
 
 def build(cls, levels=2):
@@ -28,7 +31,7 @@ def run_to(sim, t_end):
 class TestStableDt:
     def test_coarse_dt_larger_than_global(self):
         _, sim_g = build(Simulation)
-        _, sim_s = build(SubcycledSimulation)
+        _, sim_s = build(subcycled)
         from repro.solvers.timestep import stable_dt
 
         dt_global = stable_dt(sim_g.forest, sim_g.scheme)
@@ -40,7 +43,7 @@ class TestStableDt:
         p = advecting_pulse(2)
         forest = p.config.make_forest(p.scheme.nvar)
         p.init_forest(forest)
-        sim = SubcycledSimulation(forest, p.scheme)
+        sim = subcycled(forest, p.scheme)
         from repro.solvers.timestep import stable_dt
 
         assert sim.stable_dt() == pytest.approx(
@@ -54,13 +57,13 @@ class TestAccuracy:
         p, sim_g = build(Simulation)
         sim_g.run(t_end=t_end, dt_max=2e-3)
         err_g = sim_g.error_vs(p.exact(t_end))
-        p, sim_s = build(SubcycledSimulation)
+        p, sim_s = build(subcycled)
         run_to(sim_s, t_end)
         err_s = sim_s.error_vs(p.exact(t_end))
         assert err_s < 2.0 * err_g + 1e-5
 
     def test_constant_state_preserved(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(subcycled)
         for b in sim.forest:
             b.interior[...] = 4.0
         run_to(sim, 0.05)
@@ -68,20 +71,20 @@ class TestAccuracy:
             np.testing.assert_allclose(b.interior, 4.0, rtol=1e-12)
 
     def test_finite_and_bounded(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(subcycled)
         run_to(sim, 0.1)
         for b in sim.forest:
             assert np.all(np.isfinite(b.interior))
             assert b.interior.max() < 1.5  # TVD-ish: no blowup
 
     def test_mass_drift_small(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(subcycled)
         m0 = sim.total()
         run_to(sim, 0.08)
         assert abs(sim.total() - m0) / m0 < 1e-2
 
     def test_time_advances_exactly(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(subcycled)
         sim.advance(1e-3)
         assert sim.time == pytest.approx(1e-3)
 
@@ -95,7 +98,7 @@ class TestWorkSavings:
         sim_g.run(t_end=t_end)
         global_updates = sim_g.step_count * sim_g.forest.n_blocks
 
-        _, sim_s = build(SubcycledSimulation)
+        _, sim_s = build(subcycled)
         coarse_steps = 0
         while sim_s.time < t_end - 1e-12:
             dt = min(sim_s.stable_dt(), t_end - sim_s.time)
@@ -105,7 +108,7 @@ class TestWorkSavings:
         assert sub_updates < 0.7 * global_updates
 
     def test_updates_per_step_counts_levels(self):
-        _, sim = build(SubcycledSimulation)
+        _, sim = build(subcycled)
         hist = sim.forest.level_histogram()
         levels = sorted(hist)
         expect = sum(hist[l] * (1 << (l - levels[0])) for l in levels)
@@ -124,7 +127,7 @@ class TestSparseLevels:
         forest.adapt([BlockID(0, (0, 0))])
         forest.adapt([BlockID(1, (0, 0))])
         p.init_forest(forest)
-        sim = SubcycledSimulation(forest, p.scheme)
+        sim = subcycled(forest, p.scheme)
         run_to(sim, 0.02)
         for b in sim.forest:
             assert np.all(np.isfinite(b.interior))
@@ -136,7 +139,7 @@ class TestUniformEquivalence:
         """On a uniform forest subcycling degenerates to exactly the
         global midpoint step — the results must be bit-identical."""
         results = []
-        for cls in (Simulation, SubcycledSimulation):
+        for cls in (Simulation, subcycled):
             p = advecting_pulse(2)
             forest = p.config.make_forest(p.scheme.nvar)
             p.init_forest(forest)
@@ -144,9 +147,9 @@ class TestUniformEquivalence:
             for _ in range(5):
                 sim.advance(1e-3)
             results.append({b.id: b.interior.copy() for b in sim.forest})
-        serial, subcycled = results
+        serial, local = results
         for bid in serial:
-            np.testing.assert_array_equal(serial[bid], subcycled[bid])
+            np.testing.assert_array_equal(serial[bid], local[bid])
 
 # ---------------------------------------------------------------------------
 # first-class driver mode (Simulation(subcycle=True)): engines, backends,
@@ -192,22 +195,6 @@ def assert_forests_identical(a, b):
 
 
 class TestFirstClassMode:
-    def test_shim_matches_flag_bitwise(self):
-        _, flagged = build_sim(3, subcycle=True)
-        p = advecting_pulse(2)
-        forest = p.config.make_forest(p.scheme.nvar)
-        forest.adapt([BlockID(0, (0, 0)), BlockID(0, (1, 1))])
-        forest.adapt([BlockID(1, (1, 1))])
-        p.init_forest(forest)
-        shim = SubcycledSimulation(forest, p.scheme)
-        assert shim.subcycle
-        for _ in range(3):
-            dt = flagged.stable_dt()
-            assert shim.stable_dt() == dt
-            flagged.advance(dt)
-            shim.advance(dt)
-        assert_forests_identical(flagged.forest, shim.forest)
-
     def test_config_threads_through_problem_build(self):
         p = advecting_pulse(2)
         assert SimulationConfig.__dataclass_fields__["subcycle"].default is False
@@ -275,6 +262,43 @@ class TestFloorsUnderSubcycling:
         )
 
 
+class TestInterpFillRestores:
+    def test_raising_boundary_leaves_interiors_bit_identical(self):
+        """Regression: ``interp_fill`` restored the interpolated
+        interiors only when the exchange returned normally."""
+        from repro.amr.subcycle import _SubcycleSweep
+
+        def failing_bc(block, face, region, forest):
+            raise RuntimeError("boundary handler failed")
+
+        cfg = SimulationConfig(
+            domain=Box((0.0, 0.0), (1.0, 1.0)),
+            n_root=(2, 2),
+            m=(8, 8),
+            periodic=(False, False),
+            max_level=2,
+        )
+        scheme = AdvectionScheme((1.0, 0.5), order=2)
+        forest = cfg.make_forest(scheme.nvar)
+        forest.adapt([BlockID(0, (0, 0))])
+        rng = np.random.default_rng(5)
+        for b in forest:
+            b.interior[...] = rng.random(b.interior.shape)
+        sim = Simulation(forest, scheme, bc=failing_bc, subcycle=True)
+        levels = sorted(forest.level_histogram())
+        sweep = _SubcycleSweep(sim, levels, None)
+        for bid, b in forest.blocks.items():
+            # every block mid-step at t = 0.5, so each is interpolated
+            sweep.u_old[bid] = b.interior + 1.0
+            sweep.t_old[bid] = 0.0
+            sweep.t_new[bid] = 1.0
+        before = {bid: b.interior.copy() for bid, b in forest.blocks.items()}
+        with pytest.raises(RuntimeError, match="boundary handler"):
+            sweep.interp_fill(0.5)
+        for bid, b in forest.blocks.items():
+            np.testing.assert_array_equal(b.interior, before[bid], err_msg=str(bid))
+
+
 class TestSanitizerUnderSubcycling:
     """Regression: the old ``advance`` skipped ``_finish_advance``, so
     ``sanitize=True`` never ran the post-stage interior check."""
@@ -322,14 +346,14 @@ class TestEngineAndBackendRouting:
         forest = p.config.make_forest(p.scheme.nvar)
         p.init_forest(forest)
         with pytest.raises(ValueError, match="engine"):
-            SubcycledSimulation(forest, p.scheme, engine="vectorized")
+            subcycled(forest, p.scheme, engine="vectorized")
 
     def test_unknown_kernel_backend_raises(self):
         p = advecting_pulse(2)
         forest = p.config.make_forest(p.scheme.nvar)
         p.init_forest(forest)
         with pytest.raises(ValueError, match="backend"):
-            SubcycledSimulation(forest, p.scheme, kernel_backend="fortran")
+            subcycled(forest, p.scheme, kernel_backend="fortran")
 
     def test_batched_engine_actually_batches(self):
         """The batched subcycled sweep compacts the arena level-major:
