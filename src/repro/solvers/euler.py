@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.solvers.scheme import FVScheme
-from repro.solvers.state import DEFAULT_GAMMA, EulerLayout
+from repro.solvers.state import DEFAULT_GAMMA, EulerLayout, clip_to_floors
 
 __all__ = ["EulerScheme"]
 
@@ -89,19 +89,14 @@ class EulerScheme(FVScheme):
         return src
 
     def apply_floors(self, u: np.ndarray) -> None:
-        """Clip density/pressure up to the configured floors, in place.
-
-        Velocity is preserved; total energy is rebuilt consistently.
-        No-op when no floors are configured.
+        """Clip density/pressure up to the configured floors, in place,
+        rewriting only the clipped cells (see
+        :func:`~repro.solvers.state.clip_to_floors`).  Velocity is
+        preserved; total energy is rebuilt consistently.
         """
-        if self.rho_floor is None and self.p_floor is None:
-            return
-        w = self.layout.cons_to_prim(u)
-        if self.rho_floor is not None:
-            np.maximum(w[0], self.rho_floor, out=w[0])
-        if self.p_floor is not None:
-            np.maximum(w[self.nvar - 1], self.p_floor, out=w[self.nvar - 1])
-        u[...] = self.layout.prim_to_cons(w)
+        clip_to_floors(
+            self.layout, u, ((0, self.rho_floor), (self.nvar - 1, self.p_floor))
+        )
 
     @property
     def positivity_indices(self):

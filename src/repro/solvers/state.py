@@ -27,11 +27,34 @@ __all__ = [
     "DEFAULT_GAMMA",
     "RHO_FLOOR",
     "P_FLOOR",
+    "clip_to_floors",
 ]
 
 DEFAULT_GAMMA = 5.0 / 3.0
 RHO_FLOOR = 1e-12
 P_FLOOR = 1e-14
+
+
+def clip_to_floors(layout, u: np.ndarray, floors) -> None:
+    """Raise primitive variables to their floors, in place on the
+    conserved ``u`` (variable axis first, any trailing layout).
+
+    ``floors`` pairs primitive indices with floors (``None`` = unset).
+    Only the cells below a floor are rewritten, from the clipped
+    primitives (so the layout's other primitives are kept and the
+    energy is rebuilt consistently); every other cell keeps its exact
+    bits, so floors that never fire are identical to no floors.
+    """
+    active = [(i, f) for i, f in floors if f is not None]
+    if not active:
+        return
+    w = layout.cons_to_prim(u)
+    clip = np.zeros(w.shape[1:], dtype=bool)
+    for i, floor in active:
+        clip |= w[i] < floor
+        np.maximum(w[i], floor, out=w[i])
+    if clip.any():
+        np.copyto(u, layout.prim_to_cons(w), where=clip)
 
 
 @dataclass(frozen=True)

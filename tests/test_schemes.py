@@ -22,6 +22,7 @@ from repro.solvers import (
     get_riemann,
     rusanov,
 )
+from repro.util.geometry import Box
 
 
 def periodic_fill_1d(u, g):
@@ -278,6 +279,72 @@ class TestMHD:
         np.testing.assert_allclose(
             sch.div_b_interior(u, (0.1, 0.1), 2), 0.0
         )
+
+
+def _noisy_block(scheme, shape=(16, 16), seed=0):
+    """Conserved 2-D block with seeded noise in every primitive."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((scheme.nvar,) + shape)
+    w[0] = 1.0 + 0.1 * rng.random(shape)
+    w[1:3] = 0.1 * rng.standard_normal((2,) + shape)
+    p = scheme.nvar - 1 if scheme.nvar == 4 else 4
+    w[p] = 1.0 + 0.1 * rng.random(shape)
+    if scheme.nvar == 8:
+        w[5:8] = 0.2 + 0.05 * rng.standard_normal((3,) + shape)
+    return scheme.prim_to_cons(w)
+
+
+FLOORED = {
+    "euler": lambda **kw: EulerScheme(2, **kw),
+    "mhd": lambda **kw: MHDScheme(2, **kw),
+}
+
+
+class TestFloors:
+    @pytest.mark.parametrize("physics", sorted(FLOORED))
+    def test_inactive_floors_leave_every_bit(self, physics):
+        """Regression: ``apply_floors`` rewrote every cell through a
+        cons -> prim -> cons round trip, changing low bits of cells no
+        floor touched."""
+        scheme = FLOORED[physics](rho_floor=1e-9, p_floor=1e-9)
+        u = _noisy_block(scheme)
+        before = u.copy()
+        scheme.apply_floors(u)
+        np.testing.assert_array_equal(u, before)
+
+    @pytest.mark.parametrize("physics", sorted(FLOORED))
+    def test_only_clipped_cells_change(self, physics):
+        scheme = FLOORED[physics](rho_floor=1.05)
+        u = _noisy_block(scheme)
+        before = u.copy()
+        low = u[0] < 1.05
+        assert low.any() and not low.all()
+        scheme.apply_floors(u)
+        np.testing.assert_array_equal(u[:, ~low], before[:, ~low])
+        w = scheme.cons_to_prim(u)
+        np.testing.assert_array_equal(w[0][low], 1.05)
+
+    @pytest.mark.parametrize("physics", sorted(FLOORED))
+    def test_inactive_floors_run_equals_no_floors_bitwise(self, physics):
+        from repro.amr import Simulation
+        from repro.core import BlockForest
+
+        states = []
+        for floors in ({}, {"rho_floor": 1e-6, "p_floor": 1e-6}):
+            scheme = FLOORED[physics](order=2, **floors)
+            forest = BlockForest(
+                Box((0.0, 0.0), (1.0, 1.0)), (2, 2), (8, 8),
+                nvar=scheme.nvar, n_ghost=2, periodic=(True, True),
+            )
+            for i, b in enumerate(forest):
+                b.interior[...] = _noisy_block(scheme, (8, 8), seed=i)
+            sim = Simulation(forest, scheme)
+            for _ in range(3):
+                sim.advance(1e-3)
+            states.append({b.id: b.interior.copy() for b in forest})
+        plain, floored = states
+        for bid in plain:
+            np.testing.assert_array_equal(floored[bid], plain[bid])
 
 
 class TestSchemeValidation:
